@@ -3,10 +3,11 @@
 // DGN, GAM, GAT) on both campuses.
 //
 // Full traces are written as CSVs (one row per slot per vehicle) for
-// plotting; the console summarizes the trajectory statistics behind the
-// paper's qualitative reading: GARL partitions the workzone into
-// per-coalition sub-workzones (low overlap between the stop sets visited
-// by different UGVs) without wasteful wandering.
+// plotting; the console and fig7_<campus>_summary.csv summarize the
+// trajectory statistics behind the paper's qualitative reading: GARL
+// partitions the workzone into per-coalition sub-workzones (low overlap
+// between the stop sets visited by different UGVs) without wasteful
+// wandering.
 
 #include <algorithm>
 #include <cstdio>
@@ -171,6 +172,9 @@ void Run() {
         "\nFig. 7 (%s) — 100-slot traces (CSVs in %s/fig7_%s_*.csv)\n",
         campus.c_str(), options.out_dir.c_str(), campus.c_str());
     table.Print(std::cout);
+    const std::string summary =
+        options.out_dir + "/fig7_" + campus + "_summary.csv";
+    WarnIfError(table.WriteCsv(summary), "bench_fig7: write " + summary);
     std::printf(
         "Paper shape: GARL visits many stops with the lowest pairwise "
         "overlap (clean sub-workzones).\n");

@@ -34,39 +34,12 @@ garl_run_step("configure -Werror tree"
   -DCMAKE_BUILD_TYPE=Release -DGARL_WERROR=ON)
 garl_run_step("build with -Wall -Wextra -Werror"
   ${CMAKE_COMMAND} --build ${GATES_DIR}/lint -j)
-# Two lint passes over the same cache file: the first (cold) populates the
-# phase-1 index cache, the second (warm) must be served entirely from it and
-# produce byte-identical JSON. A finding, a stale baseline entry, or any
-# cold/warm divergence fails the gate.
-set(lint_cmd ${GATES_DIR}/lint/tools/garl_lint/garl_lint
+# One lint pass over the whole tree against the checked-in (empty) baseline.
+# A finding, a stale baseline entry or a malformed table fails the gate.
+garl_run_step("garl_lint invariants"
+  ${GATES_DIR}/lint/tools/garl_lint/garl_lint
   --root ${SOURCE_DIR} --format=json
-  --baseline ${SOURCE_DIR}/tools/garl_lint/garl_lint.baseline
-  --cache ${GATES_DIR}/lint/garl_lint.cache)
-file(REMOVE ${GATES_DIR}/lint/garl_lint.cache)
-message(STATUS "=== gate: garl_lint invariants (cold cache) ===")
-execute_process(COMMAND ${lint_cmd}
-  RESULT_VARIABLE lint_cold_result
-  OUTPUT_VARIABLE lint_cold_stdout ERROR_VARIABLE lint_cold_stderr)
-if(NOT lint_cold_result EQUAL 0)
-  message(FATAL_ERROR
-    "gate FAILED: garl_lint (cold)\n${lint_cold_stdout}${lint_cold_stderr}")
-endif()
-message(STATUS "=== gate: garl_lint incremental cache smoke (warm) ===")
-execute_process(COMMAND ${lint_cmd}
-  RESULT_VARIABLE lint_warm_result
-  OUTPUT_VARIABLE lint_warm_stdout ERROR_VARIABLE lint_warm_stderr)
-if(NOT lint_warm_result EQUAL 0)
-  message(FATAL_ERROR
-    "gate FAILED: garl_lint (warm)\n${lint_warm_stdout}${lint_warm_stderr}")
-endif()
-if(NOT lint_cold_stdout STREQUAL lint_warm_stdout)
-  message(FATAL_ERROR "gate FAILED: garl_lint warm-cache output diverged from "
-    "the cold run; the index cache is not a pure function of file contents")
-endif()
-if(NOT lint_warm_stderr MATCHES " 0 miss\\(es\\)")
-  message(FATAL_ERROR "gate FAILED: garl_lint warm run was not fully served "
-    "from the index cache:\n${lint_warm_stderr}")
-endif()
+  --baseline ${SOURCE_DIR}/tools/garl_lint/garl_lint.baseline)
 
 # --- 2b: observability golden-run + schema tests (fast, catch det drift). ---
 garl_run_step("observability test suite"
@@ -86,16 +59,6 @@ foreach(simd_setting 0 1)
     -j4)
 endforeach()
 unset(ENV{GARL_SIMD})
-
-# --- 2d: bench harness smoke (1 rep; checks it runs and emits valid JSON). --
-garl_run_step("bench_kernels smoke"
-  ${GATES_DIR}/lint/bench/bench_kernels --reps 1
-  --json ${GATES_DIR}/lint/BENCH_kernels_smoke.json)
-
-# --- 2e: policy-serving smoke (1 rep; sync + async queue paths + JSON). -----
-garl_run_step("bench_serving smoke"
-  ${GATES_DIR}/lint/bench/bench_serving --reps 1 --requests 32
-  --json ${GATES_DIR}/lint/BENCH_serving_smoke.json)
 
 # --- 3: clang-tidy over the same build's compile commands. ------------------
 garl_run_step("clang-tidy (skips loudly if unavailable)"

@@ -1,7 +1,6 @@
 #include "baselines/registry.h"
 
 #include "baselines/ae_comm.h"
-#include "baselines/commnet.h"
 #include "baselines/cubic_map.h"
 #include "baselines/dgn.h"
 #include "baselines/gam.h"
@@ -92,11 +91,6 @@ StatusOr<std::unique_ptr<rl::UgvPolicyNetwork>> MakeUgvPolicy(
   }
   if (method == "AE-Comm") {
     return MakeFeatureMethod<AeCommExtractor, AeCommConfig>(context, rng);
-  }
-  if (method == "CommNet") {
-    // Library extension (Section I's motivating comm model); not part of
-    // the paper's evaluated baseline set.
-    return MakeFeatureMethod<CommNetExtractor, CommNetConfig>(context, rng);
   }
   if (method == "MADDPG") {
     return std::unique_ptr<rl::UgvPolicyNetwork>(

@@ -51,7 +51,7 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-// Parses the tensor list shared by v1 and v2 (everything after the header).
+// Parses the tensor list (everything after the v2 header).
 Status ParseTensors(Cursor& cursor, uint64_t count,
                     std::vector<Tensor>& parameters,
                     const std::string& origin) {
@@ -155,73 +155,15 @@ Status LoadParameters(const std::string& path,
 
   if (magic == kMagicV1) {
     // v1 (no CRC footer) is retired: silently loading un-checksummed bytes
-    // undermines the end-to-end integrity story, so the format now demands
-    // an explicit one-shot conversion.
+    // undermines the end-to-end integrity story. Detection reads the magic
+    // only; the rest of the file is never parsed.
     return FailedPreconditionError(StrPrintf(
-        "%s is a legacy v1 checkpoint; v1 loading is retired — convert it "
-        "once with `garl_fleet --migrate-v1 %s <output>` and load the v2 "
-        "result",
-        path.c_str(), path.c_str()));
+        "%s is a retired v1 checkpoint (no CRC footer); only format v2 "
+        "loads — re-save the parameters as v2",
+        path.c_str()));
   }
 
   return InvalidArgumentError("bad checkpoint header: " + path);
-}
-
-Status MigrateV1ParameterFile(const std::string& src_path,
-                              const std::string& dst_path) {
-  StatusOr<std::string> contents = ReadFileToString(src_path);
-  if (!contents.ok()) return contents.status();
-  const std::string& bytes = contents.value();
-  Cursor cursor(bytes);
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  if (!cursor.Read(&magic)) {
-    return InvalidArgumentError("bad checkpoint header: " + src_path);
-  }
-  if (magic != kMagicV1) {
-    return InvalidArgumentError(
-        src_path + " is not a v1 checkpoint (wrong magic)");
-  }
-  if (!cursor.Read(&count)) {
-    return InvalidArgumentError("bad checkpoint header: " + src_path);
-  }
-  // v1 tensors are self-describing (rank + shape precede each payload), so
-  // the migrator reconstructs them without a model to match against.
-  std::vector<Tensor> parameters;
-  parameters.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t rank = 0;
-    if (!cursor.Read(&rank) || rank > 8) {
-      return InvalidArgumentError(StrPrintf(
-          "bad tensor rank for tensor %llu in %s",
-          static_cast<unsigned long long>(i), src_path.c_str()));
-    }
-    std::vector<int64_t> shape(rank);
-    int64_t numel = 1;
-    for (uint32_t d = 0; d < rank; ++d) {
-      if (!cursor.Read(&shape[d]) || shape[d] < 0) {
-        return InvalidArgumentError(StrPrintf(
-            "bad tensor shape for tensor %llu in %s",
-            static_cast<unsigned long long>(i), src_path.c_str()));
-      }
-      numel *= shape[d];
-    }
-    if (numel < 0 || static_cast<uint64_t>(numel) > bytes.size()) {
-      return InvalidArgumentError(StrPrintf(
-          "implausible tensor size for tensor %llu in %s",
-          static_cast<unsigned long long>(i), src_path.c_str()));
-    }
-    Tensor tensor = Tensor::Zeros(std::move(shape));
-    if (!cursor.ReadFloats(tensor.mutable_data())) {
-      return InvalidArgumentError("truncated checkpoint: " + src_path);
-    }
-    parameters.push_back(std::move(tensor));
-  }
-  if (!cursor.AtEnd()) {
-    return InvalidArgumentError("trailing bytes after last tensor in " +
-                                src_path);
-  }
-  return SaveParameters(parameters, dst_path);
 }
 
 }  // namespace garl::nn

@@ -18,9 +18,8 @@
 // and any post-crash or on-disk corruption is caught by the CRC on load.
 //
 // Format v1 (legacy, RETIRED): magic "GARL", u64 count, tensors, no footer.
-// Loading a v1 file returns FailedPrecondition pointing at the one-shot
-// `garl_fleet --migrate-v1` conversion (MigrateV1ParameterFile below); the
-// un-checksummed format no longer loads silently.
+// Loading a v1 file returns FailedPrecondition without parsing past the
+// magic; the un-checksummed format no longer loads.
 
 namespace garl::nn {
 
@@ -42,15 +41,9 @@ void SerializeParameters(const std::vector<Tensor>& parameters,
 
 // Loads values from `path` into `parameters` (shapes must match exactly).
 // Accepts v2 only (CRC-validated before any tensor is touched); a legacy v1
-// file yields FailedPrecondition naming the migration path.
+// file yields FailedPrecondition.
 [[nodiscard]] Status LoadParameters(const std::string& path,
                       std::vector<Tensor>& parameters);
-
-// One-shot v1 -> v2 conversion (the `garl_fleet --migrate-v1` back end):
-// parses the self-describing legacy stream at `src_path` and atomically
-// writes it to `dst_path` as v2 with a CRC footer.
-[[nodiscard]] Status MigrateV1ParameterFile(const std::string& src_path,
-                                            const std::string& dst_path);
 
 }  // namespace garl::nn
 

@@ -6,8 +6,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <system_error>
 #include <utility>
 
@@ -346,7 +348,7 @@ constexpr FieldSpec kArenaSchema[] = {
 };
 
 constexpr FieldSpec kSpanSchema[] = {
-    {"name", FieldType::kInt},  // type checked specially (string)
+    {"name", FieldType::kString},
     {"count", FieldType::kInt},
     {"total_ns", FieldType::kInt},
 };
@@ -417,134 +419,57 @@ bool TypeMatches(const JsonValue& value, FieldType type) {
   return false;
 }
 
-template <size_t N>
-Status CheckObjectSchema(const JsonValue& object, const FieldSpec (&schema)[N],
-                         const char* context) {
-  if (object.type != JsonValue::Type::kObject) {
-    return InvalidArgumentError(StrPrintf("'%s' is not an object", context));
-  }
-  if (object.members.size() != N) {
-    return InvalidArgumentError(StrPrintf(
-        "'%s' has %lld field(s), schema v%d requires %lld", context,
-        static_cast<long long>(object.members.size()), kRunLogSchemaVersion,
-        static_cast<long long>(N)));
-  }
-  for (size_t i = 0; i < N; ++i) {
-    const auto& [key, value] = object.members[i];
-    if (key != schema[i].name) {
-      return InvalidArgumentError(
-          StrPrintf("'%s' field %lld is '%s', schema requires '%s'", context,
-                    static_cast<long long>(i), key.c_str(), schema[i].name));
-    }
-    if (!TypeMatches(value, schema[i].type)) {
-      return InvalidArgumentError(StrPrintf(
-          "'%s.%s' has the wrong JSON type", context, schema[i].name));
-    }
-  }
-  return Status::Ok();
-}
+using Schema = std::span<const FieldSpec>;
 
-// Like CheckObjectSchema, but the object may additionally carry the
-// `optional` members (in order) after the required ones. `*has_optional`
-// reports which form was seen. Any other member count is an error — partial
-// optional suffixes are rejected.
-template <size_t N, size_t M>
-Status CheckObjectSchemaWithOptional(const JsonValue& object,
-                                     const FieldSpec (&schema)[N],
-                                     const FieldSpec (&optional)[M],
-                                     const char* context,
-                                     bool* has_optional) {
+// Checks every object of a record. `object` must carry the `required`
+// members in order, then any subset of the `optional` groups in their listed
+// order — each group whole or not at all — and nothing else. A group's
+// presence is keyed on its first member's name; `present[i]` reports whether
+// group i was seen.
+Status CheckObjectSchema(const JsonValue& object, Schema required,
+                         const std::string& context,
+                         std::initializer_list<Schema> optional = {},
+                         std::span<bool> present = {}) {
   if (object.type != JsonValue::Type::kObject) {
-    return InvalidArgumentError(StrPrintf("'%s' is not an object", context));
+    return InvalidArgumentError(
+        StrPrintf("'%s' is not an object", context.c_str()));
   }
-  if (object.members.size() != N && object.members.size() != N + M) {
-    return InvalidArgumentError(StrPrintf(
-        "'%s' has %lld field(s), schema v%d requires %lld or %lld", context,
-        static_cast<long long>(object.members.size()), kRunLogSchemaVersion,
-        static_cast<long long>(N), static_cast<long long>(N + M)));
-  }
-  *has_optional = object.members.size() == N + M;
-  for (size_t i = 0; i < object.members.size(); ++i) {
-    const FieldSpec& spec = i < N ? schema[i] : optional[i - N];
-    const auto& [key, value] = object.members[i];
-    if (key != spec.name) {
-      return InvalidArgumentError(
-          StrPrintf("'%s' field %lld is '%s', schema requires '%s'", context,
-                    static_cast<long long>(i), key.c_str(), spec.name));
-    }
-    if (!TypeMatches(value, spec.type)) {
-      return InvalidArgumentError(
-          StrPrintf("'%s.%s' has the wrong JSON type", context, spec.name));
-    }
-  }
-  return Status::Ok();
-}
-
-// Like CheckObjectSchema, but the object may additionally carry up to two
-// independent optional trailing member groups, in a fixed order (`opt1`
-// before `opt2`). Group presence is keyed on each group's first member name;
-// each group appears as a whole or not at all, and nothing may follow the
-// recognized suffix — partial or reordered optional groups are rejected.
-template <size_t N, size_t M1, size_t M2>
-Status CheckObjectSchemaWithOptionalGroups(
-    const JsonValue& object, const FieldSpec (&schema)[N],
-    const FieldSpec (&opt1)[M1], const FieldSpec (&opt2)[M2],
-    const char* context, bool* has_opt1, bool* has_opt2) {
-  if (object.type != JsonValue::Type::kObject) {
-    return InvalidArgumentError(StrPrintf("'%s' is not an object", context));
-  }
-  const size_t count = object.members.size();
-  if (count < N) {
-    return InvalidArgumentError(StrPrintf(
-        "'%s' has %lld field(s), schema v%d requires at least %lld", context,
-        static_cast<long long>(count), kRunLogSchemaVersion,
-        static_cast<long long>(N)));
-  }
-  auto check_member = [&](size_t index, const FieldSpec& spec) -> Status {
-    const auto& [key, value] = object.members[index];
-    if (key != spec.name) {
-      return InvalidArgumentError(
-          StrPrintf("'%s' field %lld is '%s', schema requires '%s'", context,
-                    static_cast<long long>(index), key.c_str(), spec.name));
-    }
-    if (!TypeMatches(value, spec.type)) {
-      return InvalidArgumentError(
-          StrPrintf("'%s.%s' has the wrong JSON type", context, spec.name));
+  const auto& members = object.members;
+  size_t index = 0;
+  auto check_group = [&](Schema group) -> Status {
+    for (const FieldSpec& spec : group) {
+      if (index == members.size()) {
+        return InvalidArgumentError(
+            StrPrintf("'%s' is missing field '%s' (schema v%d)",
+                      context.c_str(), spec.name, kRunLogSchemaVersion));
+      }
+      const auto& [key, value] = members[index];
+      if (key != spec.name) {
+        return InvalidArgumentError(StrPrintf(
+            "'%s' field %lld is '%s', schema requires '%s'", context.c_str(),
+            static_cast<long long>(index), key.c_str(), spec.name));
+      }
+      if (!TypeMatches(value, spec.type)) {
+        return InvalidArgumentError(StrPrintf(
+            "'%s.%s' has the wrong JSON type", context.c_str(), spec.name));
+      }
+      ++index;
     }
     return Status::Ok();
   };
-  for (size_t i = 0; i < N; ++i) {
-    GARL_RETURN_IF_ERROR(check_member(i, schema[i]));
+  GARL_RETURN_IF_ERROR(check_group(required));
+  size_t group_index = 0;
+  for (Schema group : optional) {
+    const bool seen =
+        index < members.size() && members[index].first == group.front().name;
+    if (seen) GARL_RETURN_IF_ERROR(check_group(group));
+    if (group_index < present.size()) present[group_index] = seen;
+    ++group_index;
   }
-  size_t index = N;
-  *has_opt1 = false;
-  *has_opt2 = false;
-  if (index < count && object.members[index].first == opt1[0].name) {
-    for (size_t i = 0; i < M1; ++i) {
-      if (index + i >= count) {
-        return InvalidArgumentError(StrPrintf(
-            "'%s' carries a truncated '%s' group", context, opt1[0].name));
-      }
-      GARL_RETURN_IF_ERROR(check_member(index + i, opt1[i]));
-    }
-    *has_opt1 = true;
-    index += M1;
-  }
-  if (index < count && object.members[index].first == opt2[0].name) {
-    for (size_t i = 0; i < M2; ++i) {
-      if (index + i >= count) {
-        return InvalidArgumentError(StrPrintf(
-            "'%s' carries a truncated '%s' group", context, opt2[0].name));
-      }
-      GARL_RETURN_IF_ERROR(check_member(index + i, opt2[i]));
-    }
-    *has_opt2 = true;
-    index += M2;
-  }
-  if (index != count) {
+  if (index != members.size()) {
     return InvalidArgumentError(StrPrintf(
-        "'%s' field %lld is '%s', not part of schema v%d", context,
-        static_cast<long long>(index), object.members[index].first.c_str(),
+        "'%s' field %lld is '%s', not part of schema v%d", context.c_str(),
+        static_cast<long long>(index), members[index].first.c_str(),
         kRunLogSchemaVersion));
   }
   return Status::Ok();
@@ -596,14 +521,15 @@ Status DecodeRecord(const JsonValue& root, IterationRecord* record) {
   }
   const JsonValue& det = root.members[1].second;
   const JsonValue& rt = root.members[2].second;
-  bool det_has_faults = false;
-  bool rt_has_faults = false;
-  bool rt_has_serve = false;
-  GARL_RETURN_IF_ERROR(CheckObjectSchemaWithOptional(
-      det, kDetSchema, kDetFaultSchema, "det", &det_has_faults));
-  GARL_RETURN_IF_ERROR(CheckObjectSchemaWithOptionalGroups(
-      rt, kRtSchema, kRtFaultSchema, kRtServeSchema, "rt", &rt_has_faults,
-      &rt_has_serve));
+  bool det_groups[1] = {};  // fault_digest
+  bool rt_groups[2] = {};   // faults, serve
+  GARL_RETURN_IF_ERROR(
+      CheckObjectSchema(det, kDetSchema, "det", {kDetFaultSchema}, det_groups));
+  GARL_RETURN_IF_ERROR(CheckObjectSchema(
+      rt, kRtSchema, "rt", {kRtFaultSchema, kRtServeSchema}, rt_groups));
+  const bool det_has_faults = det_groups[0];
+  const bool rt_has_faults = rt_groups[0];
+  const bool rt_has_serve = rt_groups[1];
   if (det_has_faults != rt_has_faults) {
     return InvalidArgumentError(
         "fault fields must appear in both 'det' and 'rt' or in neither");
@@ -676,27 +602,9 @@ Status DecodeRecord(const JsonValue& root, IterationRecord* record) {
   record->spans.clear();
   for (size_t i = 0; i < spans.elements.size(); ++i) {
     const JsonValue& span = spans.elements[i];
-    if (span.type != JsonValue::Type::kObject ||
-        span.members.size() != 3) {
-      return InvalidArgumentError(
-          StrPrintf("rt.spans[%lld] is not a {name,count,total_ns} object",
-                    static_cast<long long>(i)));
-    }
-    for (size_t f = 0; f < 3; ++f) {
-      if (span.members[f].first != kSpanSchema[f].name) {
-        return InvalidArgumentError(StrPrintf(
-            "rt.spans[%lld] field %lld is '%s', schema requires '%s'",
-            static_cast<long long>(i), static_cast<long long>(f),
-            span.members[f].first.c_str(), kSpanSchema[f].name));
-      }
-    }
-    if (span.members[0].second.type != JsonValue::Type::kString ||
-        span.members[1].second.type != JsonValue::Type::kNumber ||
-        span.members[2].second.type != JsonValue::Type::kNumber) {
-      return InvalidArgumentError(
-          StrPrintf("rt.spans[%lld] has the wrong field types",
-                    static_cast<long long>(i)));
-    }
+    GARL_RETURN_IF_ERROR(CheckObjectSchema(
+        span, kSpanSchema,
+        StrPrintf("rt.spans[%lld]", static_cast<long long>(i))));
     SpanTiming timing;
     timing.name = span.members[0].second.string_value;
     timing.count = AsInt(span.members[1].second);
@@ -708,25 +616,9 @@ Status DecodeRecord(const JsonValue& root, IterationRecord* record) {
   record->hists.clear();
   for (size_t i = 0; i < hists.elements.size(); ++i) {
     const JsonValue& hist = hists.elements[i];
-    if (hist.type != JsonValue::Type::kObject ||
-        hist.members.size() != std::size(kHistSchema)) {
-      return InvalidArgumentError(StrPrintf(
-          "rt.hist[%lld] is not a {name,count,p50,p95,p99,p999} object",
-          static_cast<long long>(i)));
-    }
-    for (size_t f = 0; f < std::size(kHistSchema); ++f) {
-      if (hist.members[f].first != kHistSchema[f].name) {
-        return InvalidArgumentError(StrPrintf(
-            "rt.hist[%lld] field %lld is '%s', schema requires '%s'",
-            static_cast<long long>(i), static_cast<long long>(f),
-            hist.members[f].first.c_str(), kHistSchema[f].name));
-      }
-      if (!TypeMatches(hist.members[f].second, kHistSchema[f].type)) {
-        return InvalidArgumentError(
-            StrPrintf("rt.hist[%lld].%s has the wrong JSON type",
-                      static_cast<long long>(i), kHistSchema[f].name));
-      }
-    }
+    GARL_RETURN_IF_ERROR(CheckObjectSchema(
+        hist, kHistSchema,
+        StrPrintf("rt.hist[%lld]", static_cast<long long>(i))));
     HistogramTiming timing;
     timing.name = hist.members[0].second.string_value;
     timing.count = AsInt(hist.members[1].second);

@@ -113,7 +113,7 @@ struct IterationRecord {
   int64_t pool_inline_fors = 0;    // ...of which ran inline
   // Tensor arena allocator counters (src/nn/arena.h), cumulative for the
   // process. heap_allocs flat across iterations == zero steady-state
-  // allocation, the property bench_kernels and arena_test assert.
+  // allocation, the property arena_test asserts.
   int64_t arena_heap_allocs = 0;      // buffers/slabs that hit the heap
   int64_t arena_reuses = 0;           // acquisitions served from cache
   int64_t arena_cached_bytes = 0;     // bytes parked in free lists now

@@ -66,6 +66,10 @@ struct OpCase {
   float lo = -1.0f, hi = 1.0f;
 };
 
+// Without this gtest prints the raw bytes of the case, pointers included, and
+// the ctest names that gtest_discover_tests builds from them change with ASLR.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 class OpGradTest : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(OpGradTest, MatchesFiniteDifference) {

@@ -124,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllMethods, MethodForwardTest,
     ::testing::Values("GARL", "GARL w/o MC", "GARL w/o E", "GARL w/o MC, E",
                       "CubicMap", "GAM", "GAT", "AE-Comm", "DGN", "IC3Net",
-                      "CommNet", "MADDPG", "Random"),
+                      "MADDPG", "Random"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
@@ -152,8 +152,7 @@ TEST_P(MethodTrainTest, OneIppoIterationRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     IppoMethods, MethodTrainTest,
-    ::testing::Values("CubicMap", "GAM", "GAT", "AE-Comm", "DGN", "IC3Net",
-                      "CommNet"),
+    ::testing::Values("CubicMap", "GAM", "GAT", "AE-Comm", "DGN", "IC3Net"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {

@@ -93,6 +93,9 @@ struct Transform {
   float angle_deg;  // rotation about the origin
 };
 
+// Keeps the ctest names stable: the default printer dumps the name pointer.
+void PrintTo(const Transform& t, std::ostream* os) { *os << t.name; }
+
 class ECommEquivarianceTest : public ::testing::TestWithParam<Transform> {};
 
 TEST_P(ECommEquivarianceTest, HInvariantGEquivariant) {

@@ -339,33 +339,6 @@ TEST(GarlLintUnit, ApplyBaselineFiltersMatchesAndRejectsStaleEntries) {
   EXPECT_EQ(remaining.size(), findings.size());
 }
 
-TEST(GarlLintUnit, IncrementalCacheMakesSecondRunAllHits) {
-  const std::string cache_path =
-      ::testing::TempDir() + "/garl_lint_cache_test.bin";
-  std::remove(cache_path.c_str());
-
-  LintOptions options;
-  options.cache_path = cache_path;
-  const auto first =
-      LintTreeFull(GARL_LINT_FIXTURE_TREE, {"src", "bench"}, options);
-  ASSERT_TRUE(first.error.empty()) << first.error;
-  EXPECT_EQ(first.stats.cache_hits, 0u);
-  EXPECT_EQ(first.stats.cache_misses, first.stats.files);
-
-  const auto second =
-      LintTreeFull(GARL_LINT_FIXTURE_TREE, {"src", "bench"}, options);
-  ASSERT_TRUE(second.error.empty()) << second.error;
-  EXPECT_EQ(second.stats.cache_hits, second.stats.files);
-  EXPECT_EQ(second.stats.cache_misses, 0u);
-
-  // A warm cache must not change a single finding.
-  ASSERT_EQ(first.findings.size(), second.findings.size());
-  for (size_t i = 0; i < first.findings.size(); ++i) {
-    EXPECT_EQ(first.findings[i].ToString(), second.findings[i].ToString());
-  }
-  std::remove(cache_path.c_str());
-}
-
 // --- CLI exit-code contract (satellite: findings=1, usage/IO errors=2) ---
 
 int RunCliQuiet(const std::vector<std::string>& args, std::string* stdout_text,

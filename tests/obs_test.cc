@@ -8,6 +8,7 @@
 #include <cmath>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -359,6 +360,24 @@ TEST(RunLogRecordTest, DeterministicPayloadIgnoresRuntimeFields) {
   EXPECT_NE(det_a.value(), det_c.value());
 }
 
+// Returns `text` with its first `from` replaced by `to`.
+std::string Edit(std::string text, const std::string& from,
+                 const std::string& to) {
+  size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+// The `,"key":{...}` member of a formatted record (no nested objects).
+std::string Member(const std::string& line, const std::string& key) {
+  size_t at = line.find(",\"" + key + "\":{");
+  size_t end = line.find('}', at);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos || end == std::string::npos) return line;
+  return line.substr(at, end - at + 1);
+}
+
 TEST(RunLogRecordTest, ParserRejectsSchemaViolations) {
   // Wrong field order inside det.
   std::string line = FormatIterationRecord(SampleRecord());
@@ -373,6 +392,77 @@ TEST(RunLogRecordTest, ParserRejectsSchemaViolations) {
   EXPECT_FALSE(ParseIterationRecord(line + "x").ok());
   // Not JSON at all.
   EXPECT_FALSE(ParseIterationRecord("plain text").ok());
+
+  // The optional groups: det.fault_digest pairs with rt.faults, and
+  // rt.serve may follow rt.faults.
+  IterationRecord faulted = SampleRecord();
+  faulted.faults_enabled = true;
+  faulted.fault_digest = 0x0badf00du;
+  faulted.fault_uav_dropouts = 1;
+  faulted.fault_fs_recovered = 2;
+  IterationRecord served = SampleRecord();
+  served.serve_enabled = true;
+  served.serve_plan_version = 3;
+  IterationRecord both = faulted;
+  both.serve_enabled = true;
+  both.serve_plan_version = 3;
+  const std::string faulted_line = FormatIterationRecord(faulted);
+  const std::string served_line = FormatIterationRecord(served);
+  const std::string both_line = FormatIterationRecord(both);
+  // Every accepted combination of the optional groups parses...
+  for (const std::string& accepted : {faulted_line, served_line, both_line}) {
+    EXPECT_TRUE(ParseIterationRecord(accepted).ok()) << accepted;
+  }
+  const std::string digest = ",\"fault_digest\":\"0badf00d\"";
+  const std::string faults = Member(faulted_line, "faults");
+  const std::string serve = Member(served_line, "serve");
+  const std::string rt_end = "}}";  // closes `rt`, then the record
+  auto with_trailing = [&](const std::string& base, const std::string& extra) {
+    return base.substr(0, base.size() - rt_end.size()) + extra + rt_end;
+  };
+
+  // ...and every violation below is a clean Status, never an abort.
+  const std::vector<std::pair<std::string, std::string>> violations = {
+      {"det.fault_digest without rt.faults", Edit(faulted_line, faults, "")},
+      {"rt.faults without det.fault_digest", Edit(faulted_line, digest, "")},
+      {"rt.serve before rt.faults",
+       Edit(both_line, faults + serve, serve + faults)},
+      {"rt.faults twice", Edit(faulted_line, faults, faults + faults)},
+      {"rt.serve twice", Edit(served_line, serve, serve + serve)},
+      {"renamed det.fault_digest",
+       Edit(faulted_line, "\"fault_digest\"", "\"fault_digst\"")},
+      {"renamed rt.faults", Edit(faulted_line, "\"faults\":", "\"fault\":")},
+      {"renamed rt.serve", Edit(served_line, "\"serve\":", "\"served\":")},
+      {"renamed rt.faults member",
+       Edit(faulted_line, "\"ugv_stalls\"", "\"ugv_stall\"")},
+      {"renamed rt.serve member", Edit(served_line, "\"shed\"", "\"sheds\"")},
+      {"missing rt.faults member",
+       Edit(faulted_line, ",\"fs_recovered\":2", "")},
+      {"missing rt.serve member",
+       Edit(served_line, ",\"breaker_trips\":0", "")},
+      {"rt.faults is not an object",
+       Edit(faulted_line, faults, ",\"faults\":1")},
+      {"unknown trailing det member",
+       Edit(line, "},\"rt\":", ",\"extra\":1},\"rt\":")},
+      {"unknown member after det.fault_digest",
+       Edit(faulted_line, digest, digest + ",\"extra\":1")},
+      {"unknown trailing rt member", with_trailing(line, ",\"extra\":1")},
+      {"unknown member after rt.faults",
+       with_trailing(faulted_line, ",\"extra\":1")},
+      {"unknown member after rt.serve",
+       with_trailing(both_line, ",\"extra\":1")},
+      {"unknown trailing record member",
+       line.substr(0, line.size() - 1) + ",\"extra\":1}"},
+      {"uppercase digest", Edit(faulted_line, "0badf00d", "0BADF00D")},
+      {"7-character digest", Edit(faulted_line, "0badf00d", "badf00d")},
+      {"9-character digest", Edit(faulted_line, "0badf00d", "00badf00d")},
+      {"non-hex digest", Edit(faulted_line, "0badf00d", "0badf00g")},
+      {"numeric digest",
+       Edit(faulted_line, "\"0badf00d\"", std::to_string(0x0badf00du))},
+  };
+  for (const auto& [what, bad] : violations) {
+    EXPECT_FALSE(ParseIterationRecord(bad).ok()) << what << ": " << bad;
+  }
 }
 
 }  // namespace

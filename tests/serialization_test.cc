@@ -155,42 +155,28 @@ std::string MakeV1Bytes(const std::vector<Tensor>& params) {
 
 TEST(SerializationTest, LegacyV1IsRetiredAndPointsAtMigration) {
   std::string path = TestPath("legacy_v1.bin");
-  WriteRaw(path, MakeV1Bytes(MakeParams(7)));
+  std::string bytes = MakeV1Bytes(MakeParams(7));
+  WriteRaw(path, bytes);
   std::vector<Tensor> loaded = MakeParams(8);
   Status status = LoadParameters(path, loaded);
   ASSERT_FALSE(status.ok()) << "retired v1 format loaded";
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(status.message().find("migrate-v1"), std::string::npos)
+  EXPECT_NE(status.message().find("v1"), std::string::npos)
       << status.ToString();
-}
-
-TEST(SerializationTest, MigrateV1RoundTripsThroughV2) {
-  std::string src = TestPath("migrate_src.bin");
-  std::string dst = TestPath("migrate_dst.bin");
-  std::vector<Tensor> params = MakeParams(7);
-  WriteRaw(src, MakeV1Bytes(params));
-  ASSERT_TRUE(MigrateV1ParameterFile(src, dst).ok());
-  std::vector<Tensor> loaded = MakeParams(8);
-  ASSERT_TRUE(LoadParameters(dst, loaded).ok());
-  for (size_t i = 0; i < params.size(); ++i) {
-    EXPECT_EQ(loaded[i].data(), params[i].data());
+  // Detection stops at the magic: a v1 header over bytes that would fail any
+  // parse (truncated payload, absurd tensor count) gets the same clean
+  // FailedPrecondition, never a parse error.
+  WriteRaw(path, bytes.substr(0, bytes.size() - 3));
+  EXPECT_EQ(LoadParameters(path, loaded).code(),
+            StatusCode::kFailedPrecondition);
+  std::string garbage = bytes.substr(0, 4) + std::string(8, '\xff');
+  WriteRaw(path, garbage);
+  EXPECT_EQ(LoadParameters(path, loaded).code(),
+            StatusCode::kFailedPrecondition);
+  const std::vector<Tensor> untouched = MakeParams(8);
+  for (size_t i = 0; i < loaded.size(); ++i) {
+    EXPECT_EQ(loaded[i].data(), untouched[i].data()) << i;
   }
-}
-
-TEST(SerializationTest, MigrateV1RejectsCorruptInputs) {
-  std::string src = TestPath("migrate_bad.bin");
-  std::string dst = TestPath("migrate_bad_out.bin");
-  std::string bytes = MakeV1Bytes(MakeParams(7));
-  // Trailing bytes after the last tensor payload.
-  WriteRaw(src, bytes + "zz");
-  EXPECT_FALSE(MigrateV1ParameterFile(src, dst).ok());
-  // Truncated mid-payload.
-  WriteRaw(src, bytes.substr(0, bytes.size() - 3));
-  EXPECT_FALSE(MigrateV1ParameterFile(src, dst).ok());
-  // A v2 file is not a migration input.
-  std::string v2 = TestPath("migrate_v2_in.bin");
-  ASSERT_TRUE(SaveParameters(MakeParams(7), v2).ok());
-  EXPECT_FALSE(MigrateV1ParameterFile(v2, dst).ok());
 }
 
 TEST(SerializationFuzzTest, TruncationAtEvery64ByteBoundaryRejected) {

@@ -12,10 +12,6 @@
 //       Internal: one supervised trainer process (spawned by the
 //       supervisor; runnable by hand for debugging).
 //
-//   garl_fleet --migrate-v1 <src> <dst>
-//       One-shot legacy checkpoint conversion: reads a v1 parameter file
-//       and writes it back as v2 with a CRC-32 footer.
-//
 // Exit codes: 0 = OK, 1 = failure, 2 = usage error; child processes
 // additionally use 3 = graceful-shutdown checkpoint (see fleet.h).
 
@@ -30,7 +26,6 @@
 #include "common/proc.h"
 #include "common/status.h"
 #include "common/string_util.h"
-#include "nn/serialization.h"
 #include "tools/garl_fleet/child.h"
 #include "tools/garl_fleet/fleet.h"
 
@@ -43,8 +38,7 @@ int Usage() {
       "                  [--episodes N] [--segment-bytes B]\n"
       "                  [--max-restarts R] [--heartbeat-deadline-ms MS]\n"
       "       garl_fleet --child --run-dir <dir> --seed S --iterations N\n"
-      "                  --episodes E --segment-bytes B [--fail-with C]\n"
-      "       garl_fleet --migrate-v1 <src> <dst>\n");
+      "                  --episodes E --segment-bytes B [--fail-with C]\n");
   return 2;
 }
 
@@ -92,18 +86,6 @@ int RunChild(int argc, char** argv) {
     }
   }
   return garl::fleet::RunChildTrainer(options);
-}
-
-int RunMigrateV1(int argc, char** argv) {
-  if (argc != 4) return Usage();
-  garl::Status status = garl::nn::MigrateV1ParameterFile(argv[2], argv[3]);
-  if (!status.ok()) {
-    std::fprintf(stderr, "garl_fleet: migrate-v1: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  std::printf("migrated %s -> %s (v2, CRC-32 footer)\n", argv[2], argv[3]);
-  return 0;
 }
 
 int RunSupervisor(int argc, char** argv) {
@@ -182,9 +164,6 @@ int RunSupervisor(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--child") == 0) {
     return RunChild(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "--migrate-v1") == 0) {
-    return RunMigrateV1(argc, argv);
   }
   return RunSupervisor(argc, argv);
 }

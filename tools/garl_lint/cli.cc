@@ -12,13 +12,12 @@ namespace {
 
 void PrintUsage(std::ostream& err) {
   err << "usage: garl_lint [--root <repo-root>] [--format=text|json]\n"
-         "                 [--baseline <file>] [--cache <file>] [--rules]\n"
+         "                 [--baseline <file>] [--rules]\n"
          "                 [dir ...]\n"
          "  --root      repository root (default: .)\n"
          "  --format    findings output: text (default) or json\n"
          "  --baseline  accepted-findings file; every entry needs a\n"
          "              justification and must still match (stale = error)\n"
-         "  --cache     phase-1 index cache file (content-hash incremental)\n"
          "  --rules     list rule ids and exit\n"
          "  dir         repo-relative directories to lint\n"
          "              (default: src tests bench tools examples)\n"
@@ -58,11 +57,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
       }
     } else if (arg == "--baseline") {
       if (!value(&baseline_path)) {
-        PrintUsage(err);
-        return 2;
-      }
-    } else if (arg == "--cache") {
-      if (!value(&options.cache_path)) {
         PrintUsage(err);
         return 2;
       }
@@ -107,11 +101,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   if (!run.error.empty()) {
     err << "garl_lint: " << run.error << "\n";
     return 2;
-  }
-  if (!options.cache_path.empty()) {
-    err << "garl_lint: cache " << run.stats.cache_hits << " hit(s), "
-        << run.stats.cache_misses << " miss(es) over " << run.stats.files
-        << " file(s)\n";
   }
 
   if (!baseline_path.empty()) {

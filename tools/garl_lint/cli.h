@@ -12,7 +12,7 @@
 //   0  clean — no findings after baseline filtering
 //   1  findings — the tree violates at least one rule
 //   2  error — bad usage, unreadable baseline, malformed tables, stale
-//      baseline entries, cache write failure: the run itself is invalid and
+//      baseline entries: the run itself is invalid and
 //      MUST NOT be mistaken for clean or for findings.
 
 namespace garl::lint {

@@ -8,8 +8,8 @@
 #include "tools/garl_lint/index.h"
 
 // Phase 2: links per-file indexes into a whole-program call graph and runs
-// the cross-file rules. Unlike phase 1 this is never cached — it is cheap
-// (summaries only, no source text) and depends on the whole file set.
+// the cross-file rules. It reads summaries only, no source text, and depends
+// on the whole file set.
 //
 // Call resolution is heuristic (no types, no overload sets): a callee name
 // resolves to every function definition with the same last component,

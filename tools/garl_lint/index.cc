@@ -11,15 +11,6 @@ namespace garl::lint {
 // Small shared helpers.
 // ---------------------------------------------------------------------------
 
-uint64_t HashBytes(const std::string& bytes) {
-  uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 std::string Finding::ToString() const {
   std::ostringstream os;
   os << file << ":" << line << ": [" << rule << "] " << message;
@@ -37,26 +28,6 @@ bool Suppressions::Covers(const std::string& rule, int line) const {
 // ---------------------------------------------------------------------------
 // Analysis tables.
 // ---------------------------------------------------------------------------
-
-uint64_t AnalysisTables::Hash() const {
-  std::string acc;
-  auto add = [&acc](const char* kind, const std::set<std::string>& names) {
-    for (const auto& name : names) {
-      acc += kind;
-      acc += ' ';
-      acc += name;
-      acc += '\n';
-    }
-  };
-  add("source", taint_sources);
-  add("source-field", taint_source_fields);
-  add("sink", taint_sinks);
-  add("record-type", record_types);
-  add("det-field", det_fields);
-  add("parallel-unsafe", parallel_unsafe);
-  add("entry", entry_points);
-  return HashBytes(acc);
-}
 
 bool ParseAnalysisTables(const std::string& text, AnalysisTables* tables,
                          std::string* error) {
@@ -693,7 +664,6 @@ FileIndex BuildFileIndex(const std::string& rel_path,
                          const AnalysisTables& tables) {
   FileIndex index;
   index.path = rel_path;
-  index.content_hash = HashBytes(contents);
   ExtractIncludes(contents, &index);
 
   TokenizedFile file = TokenizeFile(contents);
@@ -715,178 +685,6 @@ FileIndex BuildFileIndex(const std::string& rel_path,
     index.local_findings.push_back(std::move(finding));
   }
   return index;
-}
-
-// ---------------------------------------------------------------------------
-// Cache (de)serialization: tab-separated lines, strings escaped.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string Unescape(const std::string& s) {
-  std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      if (s[i] == 't') {
-        out += '\t';
-      } else if (s[i] == 'n') {
-        out += '\n';
-      } else {
-        out += s[i];
-      }
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> SplitTabs(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-  return fields;
-}
-
-}  // namespace
-
-std::string SerializeFileIndex(const FileIndex& index) {
-  std::ostringstream os;
-  os << "path\t" << Escape(index.path) << "\n";
-  os << "hash\t" << index.content_hash << "\n";
-  for (const auto& inc : index.includes) os << "inc\t" << Escape(inc) << "\n";
-  for (const auto& name : index.fallible) os << "fal\t" << name << "\n";
-  for (const auto& rule : index.suppressions.file_level) {
-    os << "supf\t" << rule << "\n";
-  }
-  for (const auto& [line, rules] : index.suppressions.by_line) {
-    for (const auto& rule : rules) os << "supl\t" << line << "\t" << rule << "\n";
-  }
-  for (const auto& [line, rules] : index.suppressions.next_line) {
-    for (const auto& rule : rules) os << "supn\t" << line << "\t" << rule << "\n";
-  }
-  for (const auto& finding : index.local_findings) {
-    os << "find\t" << finding.line << "\t" << finding.rule << "\t"
-       << Escape(finding.message) << "\n";
-  }
-  for (const auto& fn : index.functions) {
-    os << "fn\t" << fn.line << "\t" << (fn.returns_status ? 1 : 0) << "\t"
-       << (fn.returns_taint_direct ? 1 : 0) << "\t" << Escape(fn.name) << "\t"
-       << Escape(fn.qual) << "\n";
-    for (const auto& call : fn.calls) {
-      os << "call\t" << call.line << "\t" << (call.in_parallel_body ? 1 : 0)
-         << "\t" << Escape(call.callee) << "\t" << Escape(call.qual) << "\n";
-    }
-    for (const auto& hit : fn.sink_hits) {
-      os << "sink\t" << hit.line << "\t" << Escape(hit.sink) << "\t"
-         << Escape(hit.source);
-      for (const auto& via : hit.via_calls) os << "\t" << Escape(via);
-      os << "\n";
-    }
-    for (const auto& discard : fn.discards) {
-      os << "disc\t" << discard.line << "\t" << (discard.voided ? 1 : 0)
-         << "\t" << Escape(discard.callee) << "\n";
-    }
-    for (const auto& op : fn.unsafe_ops) {
-      os << "unsf\t" << op.line << "\t" << (op.in_parallel_body ? 1 : 0)
-         << "\t" << Escape(op.what) << "\n";
-    }
-    for (int line : fn.parallel_for_lines) os << "pfor\t" << line << "\n";
-    for (const auto& via : fn.returns_taint_via) {
-      os << "rtv\t" << Escape(via) << "\n";
-    }
-    os << "endfn\n";
-  }
-  return os.str();
-}
-
-bool ParseFileIndex(const std::string& text, FileIndex* index) {
-  std::istringstream in(text);
-  std::string line;
-  FunctionInfo* fn = nullptr;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> f = SplitTabs(line);
-    const std::string& kind = f[0];
-    auto want = [&](size_t n) { return f.size() >= n; };
-    if (kind == "path" && want(2)) {
-      index->path = Unescape(f[1]);
-    } else if (kind == "hash" && want(2)) {
-      index->content_hash = std::stoull(f[1]);
-    } else if (kind == "inc" && want(2)) {
-      index->includes.push_back(Unescape(f[1]));
-    } else if (kind == "fal" && want(2)) {
-      index->fallible.push_back(f[1]);
-    } else if (kind == "supf" && want(2)) {
-      index->suppressions.file_level.insert(f[1]);
-    } else if (kind == "supl" && want(3)) {
-      index->suppressions.by_line[std::stoi(f[1])].insert(f[2]);
-    } else if (kind == "supn" && want(3)) {
-      index->suppressions.next_line[std::stoi(f[1])].insert(f[2]);
-    } else if (kind == "find" && want(4)) {
-      index->local_findings.push_back(
-          {index->path, std::stoi(f[1]), f[2], Unescape(f[3])});
-    } else if (kind == "fn" && want(6)) {
-      index->functions.emplace_back();
-      fn = &index->functions.back();
-      fn->line = std::stoi(f[1]);
-      fn->returns_status = f[2] == "1";
-      fn->returns_taint_direct = f[3] == "1";
-      fn->name = Unescape(f[4]);
-      fn->qual = Unescape(f[5]);
-    } else if (kind == "call" && want(5) && fn) {
-      fn->calls.push_back(
-          {Unescape(f[3]), Unescape(f[4]), std::stoi(f[1]), f[2] == "1"});
-    } else if (kind == "sink" && want(4) && fn) {
-      SinkHit hit;
-      hit.line = std::stoi(f[1]);
-      hit.sink = Unescape(f[2]);
-      hit.source = Unescape(f[3]);
-      for (size_t i = 4; i < f.size(); ++i) {
-        hit.via_calls.push_back(Unescape(f[i]));
-      }
-      fn->sink_hits.push_back(std::move(hit));
-    } else if (kind == "disc" && want(4) && fn) {
-      fn->discards.push_back({std::stoi(f[1]), Unescape(f[3]), f[2] == "1"});
-    } else if (kind == "unsf" && want(4) && fn) {
-      fn->unsafe_ops.push_back(
-          {std::stoi(f[1]), Unescape(f[3]), f[2] == "1"});
-    } else if (kind == "pfor" && want(2) && fn) {
-      fn->parallel_for_lines.push_back(std::stoi(f[1]));
-    } else if (kind == "rtv" && want(2) && fn) {
-      fn->returns_taint_via.push_back(Unescape(f[1]));
-    } else if (kind == "endfn") {
-      fn = nullptr;
-    } else {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace garl::lint

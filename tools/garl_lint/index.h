@@ -1,7 +1,6 @@
 #ifndef GARL_TOOLS_GARL_LINT_INDEX_H_
 #define GARL_TOOLS_GARL_LINT_INDEX_H_
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -13,9 +12,7 @@
 // definitions, the call sites inside them, and compact per-function summaries
 // (taint behaviour, unsafe operations, dropped-result sites) that phase 2
 // links into a whole-program call graph. Everything in a FileIndex is a pure
-// function of (file contents, analysis tables), which is what makes the
-// content-hash incremental cache sound: phase 2 always re-runs from the
-// indexes, so a cached file can never go stale through *other* files.
+// function of (file contents, analysis tables).
 
 namespace garl::lint {
 
@@ -46,9 +43,6 @@ struct AnalysisTables {
   // status-propagation: entry-point function names in addition to the
   // built-in `main` and `Train`.
   std::set<std::string> entry_points;
-
-  // Order-independent content digest, part of the cache salt.
-  uint64_t Hash() const;
 };
 
 // Parses the table text. Lines: `source NAME`, `source-field NAME`,
@@ -59,7 +53,7 @@ bool ParseAnalysisTables(const std::string& text, AnalysisTables* tables,
                          std::string* error);
 
 // ---------------------------------------------------------------------------
-// Suppressions (serializable so cached files keep honouring them).
+// Suppressions.
 // ---------------------------------------------------------------------------
 
 struct Suppressions {
@@ -131,7 +125,6 @@ struct Finding {
 
 struct FileIndex {
   std::string path;
-  uint64_t content_hash = 0;
   std::vector<std::string> includes;          // quoted-include paths
   std::vector<std::string> fallible;          // Status-returning declarations
   std::vector<FunctionInfo> functions;
@@ -140,19 +133,11 @@ struct FileIndex {
 };
 
 // Builds the index for one file: tokenizes, runs every local rule, extracts
-// functions/calls/summaries. The result is cacheable (depends only on
-// `contents` and `tables`).
+// functions/calls/summaries. The result depends only on `contents` and
+// `tables`.
 FileIndex BuildFileIndex(const std::string& rel_path,
                          const std::string& contents,
                          const AnalysisTables& tables);
-
-// FNV-1a 64 over bytes — the cache key and table digest primitive.
-uint64_t HashBytes(const std::string& bytes);
-
-// Cache (de)serialization. The format is line-oriented, versioned by the
-// cache salt in cache.cc; Parse returns false on any malformed input.
-std::string SerializeFileIndex(const FileIndex& index);
-bool ParseFileIndex(const std::string& text, FileIndex* index);
 
 }  // namespace garl::lint
 

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "tools/garl_lint/cache.h"
 #include "tools/garl_lint/graph.h"
 #include "tools/garl_lint/rules_local.h"
 #include "tools/garl_lint/token.h"
@@ -17,10 +16,6 @@ namespace garl::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Bumped whenever rule behaviour or the index format changes: part of the
-// cache salt, so stale caches from older binaries degrade to cold runs.
-const char kToolVersion[] = "garl_lint-2.0";
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -160,27 +155,11 @@ LintRun LintTreeFull(const std::string& repo_root,
   }
   std::sort(files.begin(), files.end());
 
-  const uint64_t salt =
-      HashBytes(std::string(kToolVersion) + "|" +
-                std::to_string(tables.Hash()));
-  IndexCache cache;
-  if (!options.cache_path.empty()) cache.Load(options.cache_path, salt);
-
   std::vector<FileIndex> indexes;
   indexes.reserve(files.size());
   for (const auto& [rel, contents] : files) {
-    ++run.stats.files;
-    const uint64_t hash = HashBytes(contents);
-    if (const FileIndex* cached = cache.Lookup(rel, hash)) {
-      indexes.push_back(*cached);
-      continue;
-    }
-    cache.CountMiss();
     indexes.push_back(BuildFileIndex(rel, contents, tables));
-    if (!options.cache_path.empty()) cache.Store(indexes.back());
   }
-  run.stats.cache_hits = cache.hits();
-  run.stats.cache_misses = cache.misses();
 
   for (const auto& index : indexes) {
     run.findings.insert(run.findings.end(), index.local_findings.begin(),
@@ -193,14 +172,6 @@ LintRun LintTreeFull(const std::string& repo_root,
                       std::make_move_iterator(global.begin()),
                       std::make_move_iterator(global.end()));
   SortFindings(&run.findings);
-
-  if (!options.cache_path.empty()) {
-    std::string error;
-    if (!cache.Save(options.cache_path, salt, &error)) {
-      run.error = error;
-      return run;
-    }
-  }
   return run;
 }
 

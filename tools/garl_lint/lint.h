@@ -16,7 +16,6 @@
 // definitions, call sites, and compact dataflow summaries. Phase 2 (graph.h)
 // links the indexes into a whole-program call graph — callee names resolved
 // by include closure + namespace heuristics — and runs the cross-file rules.
-// Phase 1 is cacheable by content hash (cache.h); phase 2 always re-runs.
 // It is still NOT a compiler: no preprocessing, no types, no overload
 // resolution — every rule is a token/summary heuristic tuned to this
 // codebase and kept honest by the fixture tests in tests/lint_fixtures/.
@@ -108,22 +107,13 @@ struct LintOptions {
   // parallel-unsafe names, extra entry points). Missing file = empty tables;
   // a malformed file is an error.
   std::string tables_relpath = "tools/garl_lint/garl_lint.tables";
-  // Path of the phase-1 index cache file; empty disables caching.
-  std::string cache_path;
-};
-
-struct LintStats {
-  int files = 0;
-  int cache_hits = 0;
-  int cache_misses = 0;
 };
 
 // Full result of a tree run. `error` non-empty means the run itself failed
-// (malformed tables, unwritable cache) and `findings` must not be trusted —
+// (malformed tables) and `findings` must not be trusted —
 // the CLI maps this to exit code 2.
 struct LintRun {
   std::vector<Finding> findings;
-  LintStats stats;
   std::string error;
 };
 
@@ -144,8 +134,8 @@ std::vector<Finding> LintFileContents(const std::string& rel_path,
                                       const std::string& contents,
                                       const std::set<std::string>& fallible);
 
-// Walks `roots` (repo-relative directories under `repo_root`), builds or
-// reuses per-file indexes, links them, and runs every rule. Findings are
+// Walks `roots` (repo-relative directories under `repo_root`), builds the
+// per-file indexes, links them, and runs every rule. Findings are
 // sorted by (file, line, rule).
 LintRun LintTreeFull(const std::string& repo_root,
                      const std::vector<std::string>& roots,
